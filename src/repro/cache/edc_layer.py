@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.edc.base import DecodeStatus, LinearBlockCode
+from repro.edc.base import MAX_BATCH_BITS, DecodeStatus, LinearBlockCode
 from repro.edc.protection import ProtectionScheme, make_code
 from repro.reliability.fault_maps import FaultMap
 
@@ -55,6 +55,12 @@ class ProtectedArray:
         self.stored_bits = (
             self.code.n if self.code is not None else data_bits
         )
+        if self.stored_bits > MAX_BATCH_BITS:
+            raise ValueError(
+                f"{scheme} over {data_bits}-bit data stores "
+                f"{self.stored_bits} bits/word; at most {MAX_BATCH_BITS} "
+                "are supported"
+            )
         if fault_map is not None:
             if fault_map.words < words:
                 raise ValueError("fault map smaller than the array")
@@ -64,9 +70,9 @@ class ProtectedArray:
                     f"array stores {self.stored_bits}"
                 )
         self.fault_map = fault_map
-        self._stored = [0] * words
-        self._shadow = [0] * words
-        self._written = [False] * words
+        self._stored = np.zeros(words, dtype=np.uint64)
+        self._shadow = np.zeros(words, dtype=np.uint64)
+        self._written = np.zeros(words, dtype=bool)
         self.reads = 0
         self.corrected_reads = 0
         self.detected_reads = 0
@@ -100,7 +106,7 @@ class ProtectedArray:
         self._check_index(index)
         if not self._written[index]:
             raise ValueError(f"word {index} read before written")
-        raw = self._stored[index]
+        raw = int(self._stored[index])
         if self.fault_map is not None:
             raw = self.fault_map.apply(index, raw)
         if len(set(soft_error_bits)) != len(soft_error_bits):
@@ -113,6 +119,10 @@ class ProtectedArray:
             if not 0 <= bit < self.stored_bits:
                 raise ValueError("soft-error bit out of range")
             raw ^= 1 << bit
+        return self._classify(raw, int(self._shadow[index]))
+
+    def _classify(self, raw: int, written: int) -> WordReadRecord:
+        """Decode one read-out word and count its outcome."""
         self.reads += 1
         if self.code is None:
             value = raw
@@ -121,10 +131,7 @@ class ProtectedArray:
             result = self.code.decode(raw)
             value = result.data
             status = result.status
-        correct = (
-            status is not DecodeStatus.DETECTED
-            and value == self._shadow[index]
-        )
+        correct = status is not DecodeStatus.DETECTED and value == written
         if status is DecodeStatus.CORRECTED:
             self.corrected_reads += 1
         elif status is DecodeStatus.DETECTED:
@@ -160,9 +167,12 @@ class ProtectedArray:
 
     def usable(self, hard_budget: int) -> bool:
         """Whether every word of the array fits the budget (die works)."""
+        if self.fault_map is None:
+            return True
         return all(
-            self.word_is_usable(index, hard_budget)
-            for index in range(self.words)
+            mask.bit_count() <= hard_budget
+            for index, mask in self.fault_map.fault_masks.items()
+            if index < self.words
         )
 
     def exercise(self, rng: np.random.Generator, rounds: int = 1) -> None:
@@ -171,12 +181,47 @@ class ProtectedArray:
         Used by the Monte Carlo yield validation: after exercising, the
         ``silent_errors`` /  ``detected_reads`` counters tell whether this
         die behaved as a yielding part.
+
+        Each round handles the whole array at once: one draw of every
+        data word (the same generator stream as word-by-word draws), a
+        batched encode, the fault map as dense stuck-at masks, and a
+        codeword screen of every read.  Only words the screen flags go
+        through the scalar decoder; the counters, the generator state
+        and later :meth:`read` records equal those of a
+        :meth:`write`/:meth:`read` loop over the words.
         """
+        fault_mask, stuck = self._dense_fault_map()
         for _ in range(rounds):
-            for index in range(self.words):
-                self.write(index, int(rng.integers(0, 1 << self.data_bits)))
-            for index in range(self.words):
-                self.read(index)
+            data = rng.integers(
+                0, 1 << self.data_bits, size=self.words, dtype=np.uint64
+            )
+            stored = self.code.encode_many(data) if self.code else data.copy()
+            self._stored, self._shadow = stored, data
+            self._written[:] = True
+            raw = (stored & ~fault_mask) | stuck
+            if self.code is None:
+                value, clean = raw, np.ones(self.words, dtype=bool)
+            else:
+                value, clean = self.code.screen_many(raw)
+            self.reads += int(np.count_nonzero(clean))
+            self.undetected_errors += int(
+                np.count_nonzero(clean & (value != data))
+            )
+            for index in np.flatnonzero(~clean):
+                self._classify(int(raw[index]), int(data[index]))
+
+    def _dense_fault_map(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-word stuck-bit masks and stuck values as uint64 arrays."""
+        fault_mask = np.zeros(self.words, dtype=np.uint64)
+        stuck = np.zeros(self.words, dtype=np.uint64)
+        if self.fault_map is not None:
+            for index, mask in self.fault_map.fault_masks.items():
+                if index < self.words:
+                    fault_mask[index] = mask
+                    stuck[index] = (
+                        self.fault_map.stuck_values.get(index, 0) & mask
+                    )
+        return fault_mask, stuck
 
     def _check_index(self, index: int) -> None:
         if not 0 <= index < self.words:

@@ -139,6 +139,33 @@ class TestUsability:
         assert array.detected_reads == 0
 
 
+class TestWordWidth:
+    """Words up to 64 stored bits work end to end; wider are rejected."""
+
+    def test_unprotected_64_bit_exercise(self, rng):
+        array = ProtectedArray(16, 64, ProtectionScheme.NONE)
+        array.exercise(rng, rounds=2)
+        assert array.reads == 32
+        assert array.silent_errors == 0
+        record = array.read(3)
+        assert record.correct and 0 <= record.value < 1 << 64
+
+    def test_64_bit_write_read_roundtrip(self):
+        array = ProtectedArray(2, 64, ProtectionScheme.NONE)
+        array.write(1, (1 << 64) - 1)
+        assert array.read(1).value == (1 << 64) - 1
+
+    def test_parity_over_64_bits_rejected(self):
+        with pytest.raises(ValueError, match="at most 64"):
+            ProtectedArray(16, 64, ProtectionScheme.PARITY)
+
+    def test_parity_over_63_bits_fits(self, rng):
+        array = ProtectedArray(16, 63, ProtectionScheme.PARITY)
+        assert array.stored_bits == 64
+        array.exercise(rng)
+        assert array.reads == 16 and array.silent_errors == 0
+
+
 class TestFailureModeSplit:
     """silent_errors is now the sum of two distinguishable modes."""
 

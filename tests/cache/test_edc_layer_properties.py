@@ -6,9 +6,14 @@ These properties pin that contract against arbitrary
 :func:`repro.reliability.fault_maps.generate_fault_map` populations —
 budget boundaries included — and the degenerate maps (fault-free and
 fully saturated) that the analytic yield model never exercises.
+
+The batched :meth:`ProtectedArray.exercise` is pinned against a
+word-by-word ``write``/``read`` reference loop, and the codecs' batched
+codeword screen against the scalar decoders.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.edc_layer import ProtectedArray
@@ -206,3 +211,121 @@ def test_one_past_detection_budget_is_observable(
         or array.miscorrections + array.undetected_errors == 1
     )
     assert observable
+
+
+def _per_word_exercise(array, rng, rounds):
+    """Reference for :meth:`ProtectedArray.exercise`: one word at a time."""
+    for _ in range(rounds):
+        for index in range(array.words):
+            array.write(index, int(rng.integers(0, 1 << array.data_bits)))
+        for index in range(array.words):
+            array.read(index)
+
+
+_READ_COUNTERS = ("reads", "corrected_reads", "detected_reads",
+                  "miscorrections", "undetected_errors")
+
+
+def _assert_exercise_matches_reference(scheme, words, data_bits, pf,
+                                       rounds, seed):
+    array, fault_map = _array_and_map(scheme, words, data_bits, pf, seed)
+    reference = ProtectedArray(words, data_bits, scheme, fault_map=fault_map)
+    rng = np.random.default_rng(seed + 1)
+    reference_rng = np.random.default_rng(seed + 1)
+    array.exercise(rng, rounds=rounds)
+    _per_word_exercise(reference, reference_rng, rounds)
+    counters = [getattr(array, name) for name in _READ_COUNTERS]
+    assert counters == [getattr(reference, name) for name in _READ_COUNTERS]
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    for index in range(words):
+        assert array.read(index) == reference.read(index)
+    return dict(zip(_READ_COUNTERS, counters))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    scheme=SCHEMES,
+    words=st.integers(1, 48),
+    data_bits=st.sampled_from((26, 32)),
+    pf=st.floats(0.0, 0.3),
+    rounds=st.integers(1, 3),
+    seed=st.integers(0, 10_000),
+)
+def test_batched_exercise_matches_per_word_reference(
+    scheme, words, data_bits, pf, rounds, seed
+):
+    """Same counters, generator state and later reads as word by word."""
+    _assert_exercise_matches_reference(
+        scheme, words, data_bits, pf, rounds, seed
+    )
+
+
+@pytest.mark.parametrize(
+    "scheme, outcomes",
+    [
+        (ProtectionScheme.NONE, ("undetected_errors",)),
+        (ProtectionScheme.PARITY, ("detected_reads", "undetected_errors")),
+        (ProtectionScheme.SECDED,
+         ("corrected_reads", "detected_reads", "miscorrections")),
+        (ProtectionScheme.DECTED,
+         ("corrected_reads", "detected_reads", "miscorrections")),
+    ],
+)
+def test_batched_exercise_reaches_every_outcome(scheme, outcomes):
+    """At a heavy fault rate the equivalence covers every read outcome
+    the scheme can produce, not only clean reads."""
+    counters = _assert_exercise_matches_reference(
+        scheme, 256, 32, 0.3, 2, seed=2013
+    )
+    for name in outcomes:
+        assert counters[name] > 0, name
+
+
+CODED_SCHEMES = st.sampled_from(
+    [scheme for scheme in ProtectionScheme
+     if scheme is not ProtectionScheme.NONE]
+)
+
+
+@st.composite
+def _received_words(draw):
+    """A coded scheme plus n-bit words: codewords hit by a few flips
+    (so every decode outcome occurs) mixed with arbitrary words."""
+    code = make_code(draw(CODED_SCHEMES), draw(st.sampled_from((26, 32))))
+    near = st.builds(
+        lambda data, flips: code.encode(data) ^ sum(1 << b for b in flips),
+        st.integers(0, (1 << code.k) - 1),
+        st.sets(st.integers(0, code.n - 1), max_size=4),
+    )
+    arbitrary = st.integers(0, (1 << code.n) - 1)
+    return code, draw(st.lists(near | arbitrary, min_size=1, max_size=40))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_received_words())
+def test_codeword_screen_matches_scalar_decode(case):
+    """``screen_many`` flags exactly the words ``decode`` does not call
+    CLEAN, and returns the CLEAN words' decoded data."""
+    code, words = case
+    data, clean = code.screen_many(np.array(words, dtype=np.uint64))
+    for word, value, is_clean in zip(words, data.tolist(), clean.tolist()):
+        result = code.decode(word)
+        assert is_clean == (result.status is DecodeStatus.CLEAN)
+        if is_clean:
+            assert value == result.data
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    scheme=CODED_SCHEMES,
+    data_bits=st.sampled_from((26, 32)),
+    seed=st.integers(0, 10_000),
+)
+def test_encode_many_matches_scalar_encode(scheme, data_bits, seed):
+    code = make_code(scheme, data_bits)
+    data = np.random.default_rng(seed).integers(
+        0, 1 << data_bits, size=64, dtype=np.uint64
+    )
+    assert code.encode_many(data).tolist() == [
+        code.encode(value) for value in data.tolist()
+    ]
