@@ -14,17 +14,18 @@ include memory energy in our results"); memory *latency* is included.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.cache.config import CacheConfig
 from repro.cache.stats import CacheStats
-from repro.cacti.model import CacheEnergyModel
+from repro.cacti.model import AccessEnergy, CacheEnergyModel
 from repro.cpu.arrays import CoreArrays
 from repro.cpu.power import EnergyLedger
 from repro.cpu.timing import TimingParams, TimingResult, compute_timing
 from repro.cpu.trace import Trace
 from repro.engine.backends import simulate_cache
 from repro.tech.operating import Mode, OperatingPoint, operating_point_for
+from repro.util.memo import IdentityMemo
 from repro.util.profiling import phase
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -123,6 +124,58 @@ def _mean(values) -> float:
     return sum(values) / len(values)
 
 
+#: Operating points whose energy terms one chip keeps.  A population
+#: or sweep runs one point per mode; ablations visit a few supplies.
+_ENERGY_TERMS_LIMIT = 16
+
+
+class _CacheTerms(NamedTuple):
+    """One cache's per-event energies and powers at one operating point.
+
+    ``groups`` holds, per way group, its name and its read-hit extra,
+    write-hit, fill and writeback energies.
+    """
+
+    probe_read: AccessEnergy
+    probe_write: AccessEnergy
+    groups: tuple[
+        tuple[str, AccessEnergy, AccessEnergy, AccessEnergy, AccessEnergy],
+        ...,
+    ]
+    leakage: AccessEnergy
+    refresh: float
+
+
+class _EnergyTerms(NamedTuple):
+    """Everything the ledger prices a run with at one operating point,
+    apart from the run's own event counts and duration."""
+
+    il1: _CacheTerms
+    dl1: _CacheTerms
+    core_arrays_leakage: float
+    core_logic_leakage: float
+
+
+def _cache_terms(model: CacheEnergyModel, op: OperatingPoint) -> _CacheTerms:
+    """Evaluate one cache's energy models at ``op``."""
+    return _CacheTerms(
+        probe_read=model.probe_read_energy(op),
+        probe_write=model.probe_write_energy(op),
+        groups=tuple(
+            (
+                group_name,
+                model.read_hit_extra_energy(group_name, op),
+                model.write_hit_energy(group_name, op),
+                model.fill_energy(group_name, op),
+                model.writeback_energy(group_name, op),
+            )
+            for group_name in model.groups
+        ),
+        leakage=model.leakage_power(op),
+        refresh=model.refresh_power(op),
+    )
+
+
 class Chip:
     """Executable model of one chip configuration."""
 
@@ -130,6 +183,11 @@ class Chip:
         self.config = config
         self.il1_model = CacheEnergyModel(config.il1)
         self.dl1_model = CacheEnergyModel(config.dl1)
+        # The energy and leakage models are pure functions of (model,
+        # way group, operating point); every run at a point reuses them.
+        self._energy_terms = IdentityMemo(
+            self._evaluate_energy_terms, limit=_ENERGY_TERMS_LIMIT
+        )
 
     # ------------------------------------------------------------- running
     def run(
@@ -241,6 +299,14 @@ class Chip:
             )
 
     # -------------------------------------------------------------- energy
+    def _evaluate_energy_terms(self, op: OperatingPoint) -> _EnergyTerms:
+        return _EnergyTerms(
+            il1=_cache_terms(self.il1_model, op),
+            dl1=_cache_terms(self.dl1_model, op),
+            core_arrays_leakage=self.config.core_arrays.leakage_power(op),
+            core_logic_leakage=self._core_logic_leakage(op),
+        )
+
     def _account_energy(
         self,
         trace: Trace,
@@ -251,13 +317,10 @@ class Chip:
         transients: "TransientSpec | None" = None,
     ) -> EnergyLedger:
         with phase("energy.account"):
+            terms = self._energy_terms(op)
             ledger = EnergyLedger()
-            self._account_cache(
-                ledger, "il1", self.il1_model, il1_stats, op
-            )
-            self._account_cache(
-                ledger, "dl1", self.dl1_model, dl1_stats, op
-            )
+            self._account_cache(ledger, "il1", terms.il1, il1_stats)
+            self._account_cache(ledger, "dl1", terms.dl1, dl1_stats)
 
             seconds = timing.cycles * op.cycle_time
             if transients is not None:
@@ -273,18 +336,18 @@ class Chip:
                         ledger, label, model, stats, op,
                         transients, seconds,
                     )
-            for label, model in (
-                ("il1", self.il1_model),
-                ("dl1", self.dl1_model),
+            for label, cache_terms in (
+                ("il1", terms.il1),
+                ("dl1", terms.dl1),
             ):
-                leak = model.leakage_power(op)
+                leak = cache_terms.leakage
                 ledger.add(f"{label}.leakage", leak.array * seconds)
                 ledger.add(f"{label}.edc.leakage", leak.edc * seconds)
                 # Dynamic cell technologies pay retention refresh for as
                 # long as the run holds state.  The component is created
                 # only when nonzero, so all-SRAM ledgers stay
                 # byte-identical to the pre-refresh model.
-                refresh = model.refresh_power(op)
+                refresh = cache_terms.refresh
                 if refresh > 0.0:
                     ledger.add(f"{label}.refresh", refresh * seconds)
 
@@ -307,11 +370,10 @@ class Chip:
                 ),
             )
             ledger.add(
-                "core.arrays.leakage", arrays.leakage_power(op) * seconds
+                "core.arrays.leakage", terms.core_arrays_leakage * seconds
             )
             ledger.add(
-                "core.leakage",
-                self._core_logic_leakage(op) * seconds,
+                "core.leakage", terms.core_logic_leakage * seconds
             )
             return ledger
 
@@ -326,27 +388,26 @@ class Chip:
         self,
         ledger: EnergyLedger,
         label: str,
-        model: CacheEnergyModel,
+        terms: _CacheTerms,
         stats: CacheStats,
-        op: OperatingPoint,
     ) -> None:
-        probe_read = model.probe_read_energy(op)
-        probe_write = model.probe_write_energy(op)
+        probe_read = terms.probe_read
+        probe_write = terms.probe_write
         ledger.add(f"{label}.dynamic", stats.reads * probe_read.array)
         ledger.add(f"{label}.edc", stats.reads * probe_read.edc)
         ledger.add(f"{label}.dynamic", stats.writes * probe_write.array)
         ledger.add(f"{label}.edc", stats.writes * probe_write.edc)
 
-        for group_name in model.groups:
+        for group_name, read_hit, write_hit, fill, writeback in terms.groups:
             read_hits = stats.group_read_hits.get(group_name, 0)
             write_hits = stats.group_write_hits.get(group_name, 0)
             fills = stats.group_fills.get(group_name, 0)
             writebacks = stats.group_writebacks.get(group_name, 0)
             events = (
-                (read_hits, model.read_hit_extra_energy(group_name, op)),
-                (write_hits, model.write_hit_energy(group_name, op)),
-                (fills, model.fill_energy(group_name, op)),
-                (writebacks, model.writeback_energy(group_name, op)),
+                (read_hits, read_hit),
+                (write_hits, write_hit),
+                (fills, fill),
+                (writebacks, writeback),
             )
             for count, access in events:
                 if count:

@@ -31,6 +31,7 @@ from repro.workloads.store import StoredTraceRef
 from repro.tech.operating import Mode, OperatingPoint
 from repro.transients.spec import TransientSpec
 from repro.util.canonical import canonical_text
+from repro.util.memo import IdentityMemo
 from repro.util.profiling import phase
 
 #: Bump when the key schema itself changes.  v4: jobs carry an optional
@@ -156,36 +157,21 @@ def _canonical(value) -> str:
     return canonical_text(value)
 
 
-#: Chip-token memo, keyed by config identity (configs are not hashable
-#: — protection schemes carry mappingproxies).  Sweeps hash hundreds of
-#: jobs over a handful of config objects, and the canonical walk over a
-#: full ChipConfig costs near a millisecond; the memo *pins* each config
-#: so a recycled id can never alias a dead object's token.
-_CHIP_TOKEN_MEMO: dict[int, tuple[ChipConfig, str]] = {}
-_CHIP_TOKEN_MEMO_LIMIT = 64
+#: Canonical text for a chip configuration.  The canonical walk
+#: recursively includes every numeric parameter of the cache geometry,
+#: bitcells, protection schemes and timing model, so it is a faithful —
+#: and invocation-stable — content description.  The job-key token
+#: memos are keyed by identity (see :mod:`repro.util.memo`): sweeps
+#: hash hundreds of jobs over a handful of config objects, and the walk
+#: over a full ChipConfig costs near a millisecond.
+_chip_token = IdentityMemo(_canonical, limit=64)
+
+#: Canonical text for the operating-point part of a job key (one
+#: object per mode in a population or sweep).
+_operating_point_token = IdentityMemo(_canonical, limit=64)
 
 
-def _chip_token(config: ChipConfig) -> str:
-    """Canonical text for a chip configuration.
-
-    The canonical walk recursively includes every numeric parameter of
-    the cache geometry, bitcells, protection schemes and timing model,
-    so it is a faithful — and invocation-stable — content description.
-    Memoized by object identity: equal-but-distinct configs re-walk
-    (and produce the same token), repeated objects — the common case in
-    batched sweeps — pay once.
-    """
-    cached = _CHIP_TOKEN_MEMO.get(id(config))
-    if cached is not None and cached[0] is config:
-        return cached[1]
-    token = _canonical(config)
-    while len(_CHIP_TOKEN_MEMO) >= _CHIP_TOKEN_MEMO_LIMIT:
-        _CHIP_TOKEN_MEMO.pop(next(iter(_CHIP_TOKEN_MEMO)))
-    _CHIP_TOKEN_MEMO[id(config)] = (config, token)
-    return token
-
-
-def _fault_map_token(fault_map: DieFaultMap | None) -> str:
+def _fault_map_text(fault_map: DieFaultMap | None) -> str:
     """Canonical text for the fault-map part of a job key.
 
     Normalized first, and collapsed to ``None`` when fault-free: the
@@ -197,7 +183,11 @@ def _fault_map_token(fault_map: DieFaultMap | None) -> str:
     return _canonical(fault_map.normalized())
 
 
-def _transient_token(spec: TransientSpec | None) -> str:
+#: Memoized :func:`_fault_map_text`: a die's jobs share one map object.
+_fault_map_token = IdentityMemo(_fault_map_text, limit=256)
+
+
+def _transient_text(spec: TransientSpec | None) -> str:
     """Canonical text for the transient-spec part of a job key.
 
     A *null* spec (zero acceleration or zero nominal upset rate) can
@@ -206,6 +196,10 @@ def _transient_token(spec: TransientSpec | None) -> str:
     the same contract fault-free fault maps follow.
     """
     return _canonical(TransientSpec.effective(spec))
+
+
+#: Memoized :func:`_transient_text` (a batch shares one spec object).
+_transient_token = IdentityMemo(_transient_text, limit=64)
 
 
 def job_key(job: SimulationJob) -> str:
@@ -217,7 +211,7 @@ def job_key(job: SimulationJob) -> str:
             _chip_token(job.chip),
             _trace_token(job.trace),
             repr(job.mode),
-            _canonical(job.operating_point),
+            _operating_point_token(job.operating_point),
             _fault_map_token(job.fault_map),
             _transient_token(job.transients),
         )

@@ -44,6 +44,7 @@ from repro.engine.batch import (
 )
 from repro.engine.jobs import SimulationJob, job_key, resolve_source
 from repro.service.store import CompactionReport, ShardedResultStore
+from repro.util.profiling import phase
 from repro.workloads.store import TraceStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -343,7 +344,8 @@ class SimulationSession:
             else replace(job, trace=resolved)
             for job in jobs
         ]
-        keys = [job_key(job) for job in jobs]
+        with phase("jobs.key"):
+            keys = [job_key(job) for job in jobs]
         pending: dict[str, SimulationJob] = {}
         for key, job in zip(keys, jobs):
             if key in self._memo:
@@ -387,7 +389,8 @@ class SimulationSession:
         total = len(jobs)
         results: list[RunResult | None] = [None] * total
         if keys is None:
-            keys = [job_key(job) for job in jobs]
+            with phase("jobs.key"):
+                keys = [job_key(job) for job in jobs]
 
         def _notify(index: int, done: int) -> None:
             if progress is not None:

@@ -20,11 +20,16 @@ Sampling is seeded and order-independent: each (die, cache, mode)
 triple draws from its own :func:`repro.util.rng.derive_seed` child
 stream, so die 17 of a 200-die population is bit-identical to die 17 of
 a 1000-die population with the same root seed.
+
+Everything a draw needs that does not depend on the die — failure
+probabilities, bit counts, budgets, way indices — is evaluated once
+per (cache, mode) into a sampling plan; a population shares its plans
+across dies, so each die costs only its binomial draws.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -32,6 +37,7 @@ from repro.cache.config import CacheConfig
 from repro.edc.protection import ProtectionScheme
 from repro.faults.maps import CACHE_LABELS, CacheFaultMap, DieFaultMap
 from repro.tech.operating import Mode, operating_point_for
+from repro.util.profiling import phase
 from repro.util.rng import derive_seed
 
 
@@ -52,6 +58,98 @@ def _group_hard_budgets(group, mode: Mode) -> tuple[int, int]:
     return data.hard_fault_budget, tag.hard_fault_budget
 
 
+class _GroupDraw(NamedTuple):
+    """What one powered way group's draw needs, evaluated once."""
+
+    pf: float
+    data_bits: int
+    tag_bits: int
+    budget_data: int
+    budget_tag: int
+    ways: np.ndarray
+
+
+class _SamplingPlan(NamedTuple):
+    """The loop-invariant part of sampling one array in one mode."""
+
+    sets: int
+    words_per_line: int
+    groups: tuple[_GroupDraw, ...]
+
+
+def _sampling_plan(
+    config: CacheConfig, mode: Mode, vdd: float
+) -> _SamplingPlan:
+    """Evaluate every die-independent quantity of one (array, mode).
+
+    The analytic per-bit failure probability is the expensive part of a
+    draw and depends only on the cell and ``vdd``, so a population
+    evaluates it once here instead of once per die.  Groups that are
+    unpowered in ``mode`` or cannot fail are left out, exactly as the
+    draw skips them.
+    """
+    groups = []
+    for group in config.way_groups:
+        if not group.is_active(mode):
+            continue
+        pf = float(group.cell.failure_probability(vdd))
+        pf = min(max(pf, 0.0), 1.0)
+        if pf == 0.0:
+            continue
+        budget_data, budget_tag = _group_hard_budgets(group, mode)
+        groups.append(
+            _GroupDraw(
+                pf=pf,
+                data_bits=(
+                    config.data_word_bits
+                    + group.active_data_check_bits(mode)
+                ),
+                tag_bits=(
+                    config.tag_bits + group.active_tag_check_bits(mode)
+                ),
+                budget_data=budget_data,
+                budget_tag=budget_tag,
+                ways=np.asarray(config.ways_of_group(group.name)),
+            )
+        )
+    return _SamplingPlan(
+        sets=config.sets,
+        words_per_line=config.words_per_line,
+        groups=tuple(groups),
+    )
+
+
+def _draw_cache_fault_map(
+    plan: _SamplingPlan, cache: str, mode: Mode, rng: np.random.Generator
+) -> CacheFaultMap:
+    """One array's disabled lines: the per-die half of a draw.
+
+    Fault counts per stored word are binomial draws — data then tag,
+    group by group — and a line is disabled when any word exceeds the
+    group's hard-fault budget in ``mode``.
+    """
+    disabled: list[tuple[int, int]] = []
+    for group in plan.groups:
+        data_faults = rng.binomial(
+            group.data_bits,
+            group.pf,
+            size=(len(group.ways), plan.sets, plan.words_per_line),
+        )
+        tag_faults = rng.binomial(
+            group.tag_bits, group.pf, size=(len(group.ways), plan.sets)
+        )
+        bad = (data_faults > group.budget_data).any(axis=2) | (
+            tag_faults > group.budget_tag
+        )
+        positions, set_indices = np.nonzero(bad)
+        disabled.extend(
+            zip(set_indices.tolist(), group.ways[positions].tolist())
+        )
+    return CacheFaultMap(
+        cache=cache, mode=mode, disabled=tuple(sorted(disabled))
+    )
+
+
 def sample_cache_fault_map(
     config: CacheConfig,
     cache: str,
@@ -66,35 +164,38 @@ def sample_cache_fault_map(
     word are binomial draws, and a line is disabled when any word
     exceeds the group's hard-fault budget in ``mode``.
     """
-    disabled: list[tuple[int, int]] = []
-    sets = config.sets
-    words_per_line = config.words_per_line
-    for group in config.way_groups:
-        if not group.is_active(mode):
-            continue
-        pf = float(group.cell.failure_probability(vdd))
-        pf = min(max(pf, 0.0), 1.0)
-        if pf == 0.0:
-            continue
-        data_bits = (
-            config.data_word_bits + group.active_data_check_bits(mode)
-        )
-        tag_bits = config.tag_bits + group.active_tag_check_bits(mode)
-        budget_data, budget_tag = _group_hard_budgets(group, mode)
-        ways = config.ways_of_group(group.name)
-        data_faults = rng.binomial(
-            data_bits, pf, size=(len(ways), sets, words_per_line)
-        )
-        tag_faults = rng.binomial(tag_bits, pf, size=(len(ways), sets))
-        bad = (data_faults > budget_data).any(axis=2) | (
-            tag_faults > budget_tag
-        )
-        for position, way in enumerate(ways):
-            for set_index in np.flatnonzero(bad[position]):
-                disabled.append((int(set_index), way))
-    return CacheFaultMap(
-        cache=cache, mode=mode, disabled=tuple(sorted(disabled))
+    return _draw_cache_fault_map(
+        _sampling_plan(config, mode, vdd), cache, mode, rng
     )
+
+
+def _die_plans(
+    il1: CacheConfig,
+    dl1: CacheConfig,
+    mode_vdds: Mapping[Mode, float] | None,
+) -> tuple[tuple[str, Mode, _SamplingPlan], ...]:
+    """Every (cache, mode) plan of a die, in draw order."""
+    mode_vdds = dict(mode_vdds or default_mode_vdds())
+    return tuple(
+        (cache, mode, _sampling_plan(config, mode, mode_vdds[mode]))
+        for cache, config in zip(CACHE_LABELS, (il1, dl1))
+        for mode in sorted(mode_vdds, key=lambda m: m.value)
+    )
+
+
+def _draw_die(
+    plans: tuple[tuple[str, Mode, _SamplingPlan], ...], seed: int, die: int
+) -> DieFaultMap:
+    """One die's normalized fault map from its (cache, mode) plans."""
+    entries: list[CacheFaultMap] = []
+    for cache, mode, plan in plans:
+        rng = np.random.default_rng(
+            derive_seed(seed, "faults", die, cache, mode.value)
+        )
+        entry = _draw_cache_fault_map(plan, cache, mode, rng)
+        if entry.disabled:
+            entries.append(entry)
+    return DieFaultMap(entries=tuple(entries))
 
 
 def sample_die_fault_map(
@@ -111,19 +212,7 @@ def sample_die_fault_map(
     normalized (fault-free entries dropped), so every clean die shares
     one canonical content and the engine runs it once.
     """
-    mode_vdds = dict(mode_vdds or default_mode_vdds())
-    entries: list[CacheFaultMap] = []
-    for cache, config in zip(CACHE_LABELS, (il1, dl1)):
-        for mode in sorted(mode_vdds, key=lambda m: m.value):
-            rng = np.random.default_rng(
-                derive_seed(seed, "faults", die, cache, mode.value)
-            )
-            entry = sample_cache_fault_map(
-                config, cache, mode, mode_vdds[mode], rng
-            )
-            if entry.disabled:
-                entries.append(entry)
-    return DieFaultMap(entries=tuple(entries))
+    return _draw_die(_die_plans(il1, dl1, mode_vdds), seed, die)
 
 
 def sample_population(
@@ -133,13 +222,16 @@ def sample_population(
     seed: int,
     mode_vdds: Mapping[Mode, float] | None = None,
 ) -> tuple[DieFaultMap, ...]:
-    """Draw a whole die population (index-stable, see module docs)."""
+    """Draw a whole die population (index-stable, see module docs).
+
+    The plans are built once per population; each die then costs only
+    its binomial draws.
+    """
     if dies < 1:
         raise ValueError("dies must be at least 1")
-    return tuple(
-        sample_die_fault_map(il1, dl1, seed, die, mode_vdds=mode_vdds)
-        for die in range(dies)
-    )
+    with phase("faults.sample"):
+        plans = _die_plans(il1, dl1, mode_vdds)
+        return tuple(_draw_die(plans, seed, die) for die in range(dies))
 
 
 def functional_fraction(

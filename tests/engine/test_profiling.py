@@ -82,3 +82,19 @@ class TestProfiler:
         assert "batch.kernel" in profiler.phases
         assert "run.reduce" in profiler.phases
         assert "jobs.execute" in profiler.phases
+
+    def test_population_sampling_and_hashing_show_up(self):
+        """A die population attributes its sampling and its job-key
+        hashing: one ``faults.sample`` per population drawn (the study
+        sample plus each yield-curve supply) and one ``jobs.key`` per
+        batch, never one per die or per job."""
+        from repro.engine.session import SimulationSession
+        from repro.faults.population import scenario_population_study
+
+        study = scenario_population_study("A", dies=12, trace_length=1_500)
+        with profiled() as profiler:
+            study.run(session=SimulationSession())
+        assert profiler.phases["faults.sample"].calls == (
+            1 + len(study.vdd_grid)
+        )
+        assert profiler.phases["jobs.key"].calls == 1
