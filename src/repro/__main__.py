@@ -29,10 +29,9 @@ Engine options (``run``, ``all``, ``sweep``, ``schedule``,
 ``population`` and ``transients``):
 
 * ``--jobs N`` — dispatch independent work across N processes;
-* ``--backend {auto,vectorized,numba,reference}`` — simulation backend
+* ``--backend {auto,vectorized,reference}`` — simulation backend
   (bit-identical; "auto" picks the vectorized fast path where it
-  applies, "numba" JIT-compiles the multi-way kernel when numba is
-  installed);
+  applies);
 * ``--cache-dir DIR`` — memoize simulation results on disk, keyed by a
   content hash of the full job description;
 * ``--profile`` — print per-phase wall-clock (trace generation,
@@ -150,7 +149,7 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         help="worker processes for independent jobs (default: 1)",
     )
     parser.add_argument(
-        "--backend", choices=("auto", "vectorized", "numba", "reference"),
+        "--backend", choices=("auto", "vectorized", "reference"),
         default="auto", help="simulation backend (default: auto)",
     )
     parser.add_argument(
@@ -548,7 +547,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="executor threads / max in-flight simulations (default: 2)",
     )
     serve_parser.add_argument(
-        "--backend", choices=("auto", "vectorized", "numba", "reference"),
+        "--backend", choices=("auto", "vectorized", "reference"),
         default="auto", help="simulation backend (default: auto)",
     )
     serve_parser.add_argument(
@@ -1114,7 +1113,7 @@ def _dispatch_sweep(args: argparse.Namespace) -> int:
         space = space.with_overrides({"suite": (suite,)})
     if args.axes:
         space = space.with_overrides(args.axes)
-    if args.backend in ("vectorized", "numba"):
+    if args.backend == "vectorized":
         policies = next(
             (
                 axis.values

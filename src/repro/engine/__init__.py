@@ -10,8 +10,6 @@ evaluation pipeline (see DESIGN.md section 5):
   per-set stream extraction and run-collapsed LRU kernels.
 * :mod:`repro.engine.plan` — :class:`StreamPlan`: the trace-dependent
   half of the fast path, hoisted so batches reuse it across jobs.
-* :mod:`repro.engine.kernels` — the flat-array LRU kernel behind
-  ``backend="numba"`` (JIT-compiled when numba is importable).
 * :mod:`repro.engine.batch` — trace-grouped execution: shared plans,
   memoized functional simulations, store-backed worker dispatch.
 * :mod:`repro.engine.jobs` — picklable job descriptions and the

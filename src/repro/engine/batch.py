@@ -48,6 +48,7 @@ from repro.engine.jobs import (
 )
 from repro.engine.plan import build_stream_plan, geometry_key
 from repro.util.canonical import canonical_text
+from repro.util.memo import ValueMemo
 from repro.util.profiling import phase
 from repro.workloads.store import StoredTraceRef, TraceStore
 
@@ -133,8 +134,7 @@ def strip_traces(
 #: store-backed traces memoize like ``jobs._TRACE_MEMO`` (bounded FIFO)
 #: so consecutive groups on one worker reopen nothing.
 _STORE_MEMO: dict[str, TraceStore] = {}
-_STORED_TRACE_MEMO: dict[tuple[str, str], Trace] = {}
-_STORED_TRACE_LIMIT = 32
+_STORED_TRACE_MEMO: ValueMemo[Trace] = ValueMemo(limit=32)
 
 
 def open_store(root=None) -> TraceStore:
@@ -152,14 +152,10 @@ def resolve_trace(
 ) -> Trace:
     """Materialize a job's trace, whatever form it travelled in."""
     if isinstance(trace, StoredTraceRef):
-        key = (trace.name, trace.digest)
-        resolved = _STORED_TRACE_MEMO.get(key)
-        if resolved is None:
-            resolved = open_store(store_root).get(trace)
-            while len(_STORED_TRACE_MEMO) >= _STORED_TRACE_LIMIT:
-                _STORED_TRACE_MEMO.pop(next(iter(_STORED_TRACE_MEMO)))
-            _STORED_TRACE_MEMO[key] = resolved
-        return resolved
+        return _STORED_TRACE_MEMO.lookup(
+            (trace.name, trace.digest),
+            lambda: open_store(store_root).get(trace),
+        )
     return trace_for(trace)
 
 
@@ -249,7 +245,7 @@ class _SharedTraceContext:
                 with phase("batch.memo"):
                     return _isolated(hit)
         plan = None
-        if chosen in ("vectorized", "numba") and len(addresses):
+        if chosen == "vectorized" and len(addresses):
             plan_key = (
                 id(addresses),
                 id(is_write) if is_write is not None else None,

@@ -31,7 +31,7 @@ from repro.workloads.store import StoredTraceRef
 from repro.tech.operating import Mode, OperatingPoint
 from repro.transients.spec import TransientSpec
 from repro.util.canonical import canonical_text
-from repro.util.memo import IdentityMemo
+from repro.util.memo import IdentityMemo, ValueMemo
 from repro.util.profiling import phase
 
 #: Bump when the key schema itself changes.  v4: jobs carry an optional
@@ -226,8 +226,7 @@ def job_key(job: SimulationJob) -> str:
 #: pin every generated trace for the process lifetime) with FIFO
 #: eviction — batches reuse traces generated moments before.
 _CHIP_MEMO: dict[str, Chip] = {}
-_TRACE_MEMO: dict[TraceSpec, Trace] = {}
-_TRACE_MEMO_LIMIT = 32
+_TRACE_MEMO: ValueMemo[Trace] = ValueMemo(limit=32)
 
 
 def chip_for(config: ChipConfig) -> Chip:
@@ -251,17 +250,14 @@ def trace_for(trace) -> Trace:
         from repro.engine.batch import resolve_trace
 
         return resolve_trace(trace)
-    resolved = _TRACE_MEMO.get(trace)
-    if resolved is None:
-        from repro.workloads.mediabench import generate_trace
+    from repro.workloads.mediabench import generate_trace
 
-        resolved = generate_trace(
+    return _TRACE_MEMO.lookup(
+        trace,
+        lambda: generate_trace(
             trace.benchmark, length=trace.length, seed=trace.seed
-        )
-        while len(_TRACE_MEMO) >= _TRACE_MEMO_LIMIT:
-            _TRACE_MEMO.pop(next(iter(_TRACE_MEMO)))
-        _TRACE_MEMO[trace] = resolved
-    return resolved
+        ),
+    )
 
 
 def execute_job(job: SimulationJob, backend: str = "auto") -> RunResult:

@@ -31,9 +31,7 @@ and the cache geometry only, so the batching layer
 (:mod:`repro.engine.batch`) hoists them into a reusable
 :class:`repro.engine.plan.StreamPlan` and passes it back in via the
 ``plan=`` argument — one plan serves every (mode, way split, fault map,
-transient spec) variant of a sweep.  ``compiled=True`` swaps the dict
-kernel of step 4 for the flat-array kernel of
-:mod:`repro.engine.kernels` (numba-JIT-compiled when available).
+transient spec) variant of a sweep.
 
 Equivalence with the reference model is enforced by
 ``tests/engine/test_equivalence.py`` across modes, way splits and seeds.
@@ -45,7 +43,6 @@ import numpy as np
 
 from repro.cache.config import CacheConfig, validate_disabled_lines
 from repro.cache.stats import CacheStats
-from repro.engine import kernels
 from repro.engine.plan import StreamPlan, _decode, build_stream_plan
 from repro.tech.operating import Mode
 from repro.util.profiling import phase
@@ -61,7 +58,6 @@ def simulate_trace_vectorized(
     disabled_lines: tuple[tuple[int, int], ...] = (),
     transients=None,
     plan: StreamPlan | None = None,
-    compiled: bool = False,
 ) -> CacheStats:
     """Simulate a fresh LRU cache over an access stream in batch.
 
@@ -86,10 +82,6 @@ def simulate_trace_vectorized(
             this exact ``(addresses, is_write)`` stream under this
             config's geometry; None builds one in place.  Passing a
             plan built for a different stream or geometry is undefined.
-        compiled: run the multi-way kernel through
-            :mod:`repro.engine.kernels` (numba-compiled when numba is
-            importable, the interpreted dict loop otherwise — both
-            bit-identical).
 
     Returns:
         Counters bit-identical to streaming the same accesses through
@@ -145,25 +137,6 @@ def simulate_trace_vectorized(
                 # Single-way runs: every run fills (head misses) into
                 # the one active way; a fresh fill always starts clean.
                 records[0][:] = actives[0]
-        elif (
-            compiled
-            and kernels.HAVE_NUMBA
-            and len(mask) <= kernels.MAX_BITMASK_WAYS
-        ):
-            kernels.accumulate_lru_runs_array(
-                stats,
-                actives=actives,
-                group_names=group_names,
-                run_tag=plan.run_tag,
-                run_len=plan.run_len,
-                run_writes=plan.run_writes,
-                run_head_write=plan.run_head_write,
-                run_new_set=plan.run_new_set,
-                run_set=plan.run_set,
-                sets=config.sets,
-                disabled_by_set=disabled_by_set,
-                records=records,
-            )
         else:
             _accumulate_lru_runs(
                 stats,

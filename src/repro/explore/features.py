@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.cacti.model import CacheEnergyModel
 from repro.explore.candidates import Candidate
+from repro.util.memo import ValueMemo
 
 #: Axes whose values are powers of two; featurized in log2 so one step
 #: along the axis is one unit of feature space.
@@ -38,8 +39,7 @@ _LOG2_AXES = frozenset({"size_kb", "line_bytes", "ways", "ule_ways"})
 
 #: Analytic (simulation-free) candidate metrics, memoized by the
 #: candidate's hardware digest + its ULE operating point.
-_FREE_METRIC_MEMO: dict[tuple[str, object], dict[str, float]] = {}
-_FREE_METRIC_MEMO_LIMIT = 4096
+_FREE_METRIC_MEMO: ValueMemo[dict[str, float]] = ValueMemo(limit=4096)
 
 
 def chip_cache_area_mm2(chip) -> float:
@@ -63,18 +63,15 @@ def free_metrics(candidate: Candidate) -> dict[str, float]:
     content digest, so equal hardware across rounds and campaigns pays
     the area model once.
     """
-    key = (candidate.digest, candidate.ule_point)
-    cached = _FREE_METRIC_MEMO.get(key)
-    if cached is None:
-        cached = {
+    metrics = _FREE_METRIC_MEMO.lookup(
+        (candidate.digest, candidate.ule_point),
+        lambda: {
             "area_mm2": chip_cache_area_mm2(candidate.chip),
             "yield": candidate.ule_design.yield_value,
             "ule_size_factor": candidate.ule_design.cell.size_factor,
-        }
-        while len(_FREE_METRIC_MEMO) >= _FREE_METRIC_MEMO_LIMIT:
-            _FREE_METRIC_MEMO.pop(next(iter(_FREE_METRIC_MEMO)))
-        _FREE_METRIC_MEMO[key] = cached
-    return dict(cached)
+        },
+    )
+    return dict(metrics)  # callers may mutate their copy
 
 
 @dataclass(frozen=True)

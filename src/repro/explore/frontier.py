@@ -29,29 +29,16 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.explore.pareto import DEFAULT_OBJECTIVES, Objective
+from repro.explore.pareto import (
+    DEFAULT_OBJECTIVES,
+    Objective,
+    nondominated_indices,
+    objective_matrix,
+)
 
 #: Fractional margin :func:`reference_point` adds beyond the worst
 #: observed value per objective, so boundary rows still enclose volume.
 REFERENCE_MARGIN = 0.1
-
-
-def objective_matrix(
-    rows: Sequence[Mapping[str, float]],
-    objectives: Sequence[Objective] = DEFAULT_OBJECTIVES,
-) -> np.ndarray:
-    """Rows as a float matrix in *minimization* orientation.
-
-    Column ``j`` is objective ``j``'s metric, negated when the
-    objective maximizes — after this, "smaller is better" holds
-    everywhere, which is the orientation every function in this module
-    assumes.
-    """
-    matrix = np.empty((len(rows), len(objectives)), dtype=float)
-    for j, objective in enumerate(objectives):
-        sign = -1.0 if objective.maximize else 1.0
-        matrix[:, j] = [sign * row[objective.metric] for row in rows]
-    return matrix
 
 
 def reference_point(
@@ -77,31 +64,15 @@ def reference_point(
     return worst + margin * pad
 
 
-def _nondominated(points: np.ndarray) -> np.ndarray:
-    """The non-dominated subset (minimization), first-occurrence order.
+def _front(points: np.ndarray) -> np.ndarray:
+    """The non-dominated points, each duplicate's first copy only.
 
-    Duplicate points keep one representative — dominance is "at least
-    as good everywhere, strictly better somewhere", so exact duplicates
-    never dominate each other but contribute identical volume.
+    Dropping duplicates after the scan keeps the same points as before
+    it (copies share their fate) while comparing far fewer pairs.
     """
-    keep: list[int] = []
-    for i, p in enumerate(points):
-        dominated = False
-        for j in keep:
-            q = points[j]
-            if np.all(q <= p) and (np.any(q < p) or np.all(q == p)):
-                dominated = True
-                break
-        if not dominated:
-            keep = [
-                j
-                for j in keep
-                if not (
-                    np.all(p <= points[j]) and np.any(p < points[j])
-                )
-            ]
-            keep.append(i)
-    return points[keep] if keep else points[:0]
+    front = points[nondominated_indices(points)]
+    same = (front[:, None, :] == front[None, :, :]).all(axis=2)
+    return front[~np.tril(same, k=-1).any(axis=1)]
 
 
 def _wfg(points: np.ndarray, reference: np.ndarray) -> float:
@@ -119,9 +90,7 @@ def _wfg(points: np.ndarray, reference: np.ndarray) -> float:
         inclusive = float(np.prod(reference - point))
         rest = points[i + 1 :]
         if len(rest):
-            limited = np.maximum(rest, point)
-            limited = _nondominated(limited)
-            inclusive -= _wfg(limited, reference)
+            inclusive -= _wfg(_front(np.maximum(rest, point)), reference)
         total += inclusive
     return total
 
@@ -154,12 +123,10 @@ def hypervolume(
                 f"({len(objectives)},)"
             )
     inside = matrix[np.all(matrix < ref, axis=1)]
-    if not len(inside):
-        return 0.0
     # Lexicographic sort: deterministic recursion order and better
     # pruning than submission order.
     order = np.lexsort(inside.T[::-1])
-    return _wfg(_nondominated(inside[order]), ref)
+    return _wfg(_front(inside[order]), ref)
 
 
 def knee_index(

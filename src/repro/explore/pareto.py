@@ -2,7 +2,8 @@
 
 Pure functions over rows of ``{metric: value}`` mappings — no
 simulation, no I/O — so the CLI's ``pareto`` subcommand can re-reduce a
-saved campaign without re-running anything.
+saved campaign without re-running anything.  Every frontier in the
+package comes from one routine, :func:`nondominated_indices`.
 """
 
 from __future__ import annotations
@@ -10,7 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from repro.util.tables import Table
+
+#: Rows per comparison block of :func:`nondominated_indices`.
+_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -63,20 +69,46 @@ def dominates(
     return strictly_better
 
 
+def objective_matrix(
+    rows: Sequence[Mapping[str, float]],
+    objectives: Sequence[Objective] = DEFAULT_OBJECTIVES,
+) -> np.ndarray:
+    """Rows as a float matrix in *minimization* orientation: column
+    ``j`` is objective ``j``'s metric, negated when it maximizes."""
+    matrix = np.empty((len(rows), len(objectives)), dtype=float)
+    for j, objective in enumerate(objectives):
+        sign = -1.0 if objective.maximize else 1.0
+        matrix[:, j] = [sign * row[objective.metric] for row in rows]
+    return matrix
+
+
+def nondominated_indices(matrix: np.ndarray) -> np.ndarray:
+    """Indices of the non-dominated rows of a minimization matrix.
+
+    Row ``j`` dominates row ``i`` as in :func:`dominates`: no column
+    larger, some column smaller.  Indices come back in input order;
+    exact duplicates never dominate each other, so every copy stays.
+    """
+    n = len(matrix)
+    keep = np.empty(n, dtype=bool)
+    for start in range(0, n, _BLOCK_ROWS):
+        block = matrix[start : start + _BLOCK_ROWS]
+        # better[b, j]: row j beats block row b in some column.
+        better = np.zeros((len(block), n), dtype=bool)
+        worse = np.zeros_like(better)
+        for column, own in zip(matrix.T, block.T):
+            better |= column < own[:, None]
+            worse |= column > own[:, None]
+        keep[start : start + _BLOCK_ROWS] = ~(better & ~worse).any(axis=1)
+    return np.flatnonzero(keep)
+
+
 def pareto_indices(
     rows: Sequence[Mapping[str, float]],
     objectives: Sequence[Objective] = DEFAULT_OBJECTIVES,
 ) -> list[int]:
     """Indices of the non-dominated rows, in input order."""
-    frontier = []
-    for i, row in enumerate(rows):
-        if not any(
-            dominates(other, row, objectives)
-            for j, other in enumerate(rows)
-            if j != i
-        ):
-            frontier.append(i)
-    return frontier
+    return nondominated_indices(objective_matrix(rows, objectives)).tolist()
 
 
 def sensitivity(

@@ -127,16 +127,6 @@ class TestBatchedVsPerJob:
             got = session.run_jobs(jobs)
         _assert_all_equal(expected, got)
 
-    def test_numba_backend_session_matches_auto(self, chips_a):
-        """``backend="numba"`` is bit-identical whether numba is
-        installed (JIT kernel) or not (dict-kernel fallback)."""
-        jobs = _matrix(chips_a)
-        with SimulationSession() as session:
-            auto = session.run_jobs(jobs)
-        with SimulationSession(backend="numba") as session:
-            compiled = session.run_jobs(jobs)
-        _assert_all_equal(auto, compiled)
-
 
 class TestSharedSimulation:
     def test_vdd_sweep_simulates_once_per_cache(

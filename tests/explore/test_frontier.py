@@ -227,3 +227,73 @@ class TestDeterminism:
         first = hypervolume(rows, MIN_BOTH, ref)
         again = hypervolume(list(reversed(rows)), MIN_BOTH, ref)
         assert first == again
+
+
+class TestHypervolumePins:
+    """Exact ``float.hex`` values, recorded before the non-domination
+    scan was shared with :mod:`repro.explore.pareto`: the recursion's
+    point order — and so its summation order — must not move."""
+
+    MIN2 = (Objective("a"), Objective("b"))
+    MIX3 = (
+        Objective("a"),
+        Objective("b", maximize=True),
+        Objective("c"),
+    )
+    MIX4 = (
+        Objective("a"),
+        Objective("b"),
+        Objective("c"),
+        Objective("d", maximize=True),
+    )
+
+    @staticmethod
+    def lattice(n, mods, scale):
+        """Deterministic rows on a coarse grid: many ties and
+        duplicates, non-dyadic values (``scale`` 3.0) included."""
+        return [
+            {
+                name: ((i * (7 + 4 * j) + 3 * j * j) % mods[j]) / scale
+                for j, name in enumerate("abcd"[: len(mods)])
+            }
+            for i in range(n)
+        ]
+
+    def test_duplicates(self):
+        rows = [
+            {"a": 1.0, "b": 4.0}, {"a": 2.0, "b": 2.0},
+            {"a": 1.0, "b": 4.0}, {"a": 4.0, "b": 1.0},
+            {"a": 2.0, "b": 2.0}, {"a": 3.0, "b": 3.0},
+        ]
+        value = hypervolume(rows, self.MIN2, (5.0, 5.0))
+        assert value.hex() == "0x1.6000000000000p+3"
+
+    def test_rows_outside_the_reference(self):
+        rows = [
+            {"a": 0.5, "b": 6.0}, {"a": 1.5, "b": 3.5},
+            {"a": 5.0, "b": 0.25}, {"a": 1.5, "b": 3.5},
+            {"a": 2.5, "b": 2.0}, {"a": 4.0, "b": 5.0},
+        ]
+        value = hypervolume(rows, self.MIN2, (5.0, 5.0))
+        assert value.hex() == "0x1.2000000000000p+3"
+
+    @pytest.mark.parametrize(
+        "reference, expected",
+        [
+            (None, "0x1.02ff9ee8dd7cdp+5"),
+            ((3.0, -0.5, 2.0), "0x1.225ed097b425ep+4"),
+        ],
+    )
+    def test_three_mixed_objectives(self, reference, expected):
+        rows = self.lattice(40, (11, 13, 7), 3.0)
+        assert hypervolume(rows, self.MIX3, reference).hex() == expected
+
+    def test_four_objectives_every_row_twice(self):
+        rows = self.lattice(60, (9, 11, 13, 5), 2.0) * 2
+        value = hypervolume(rows, self.MIX4)
+        assert value.hex() == "0x1.161a36e2eb1c2p+3"
+
+    def test_four_objectives_partly_outside(self):
+        rows = self.lattice(60, (9, 11, 13, 5), 2.0)
+        value = hypervolume(rows, self.MIX4, (4.0, 4.5, 5.5, 0.5))
+        assert value.hex() == "0x1.2480000000000p+7"

@@ -216,3 +216,55 @@ class TestRenderSavedCampaign:
         lines = text.splitlines()
         assert "fast" in lines[3]  # first ranked row
         assert "fat" not in text  # cut by top=2
+
+
+class TestMatchesDominatesScan:
+    """``pareto_indices`` is a vectorized non-domination scan; its
+    reference is the pairwise definition built on :func:`dominates`."""
+
+    #: A small value pool, so ties, duplicates, signed zeros,
+    #: infinities and NaN all turn up often.
+    VALUES = st.one_of(
+        st.sampled_from(
+            [-2.5, -0.0, 0.0, 0.5, 1.0, 3.0, float("inf"), float("nan")]
+        ),
+        st.floats(-1e6, 1e6),
+    )
+
+    @staticmethod
+    def brute_force(rows, objectives):
+        return [
+            i
+            for i, row in enumerate(rows)
+            if not any(
+                dominates(other, row, objectives)
+                for j, other in enumerate(rows)
+                if j != i
+            )
+        ]
+
+    @given(
+        pool=st.lists(
+            st.tuples(VALUES, VALUES, VALUES), min_size=1, max_size=8
+        ),
+        maximize=st.lists(st.booleans(), min_size=1, max_size=3),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_brute_force(self, pool, maximize, data):
+        picks = data.draw(
+            st.lists(
+                st.integers(0, len(pool) - 1), min_size=0, max_size=16
+            )
+        )
+        rows = [
+            {f"m{j}": value for j, value in enumerate(pool[pick])}
+            for pick in picks
+        ]
+        objectives = tuple(
+            Objective(f"m{j}", maximize=flag)
+            for j, flag in enumerate(maximize)
+        )
+        assert pareto_indices(rows, objectives) == self.brute_force(
+            rows, objectives
+        )

@@ -7,7 +7,7 @@ import weakref
 
 import pytest
 
-from repro.util.memo import IdentityMemo
+from repro.util.memo import IdentityMemo, ValueMemo
 
 
 class Box:
@@ -66,6 +66,65 @@ class TestIdentityMemo:
             IdentityMemo(repr, 0)
 
 
+class TestValueMemo:
+    def test_equal_keys_share_one_value(self):
+        calls = []
+        memo = ValueMemo(4)
+        assert memo.lookup(("a", 1), lambda: calls.append(1) or "x") == "x"
+        assert memo.lookup(("a", 1), lambda: calls.append(2) or "y") == "x"
+        assert calls == [1]
+
+    def test_caches_falsy_values(self):
+        calls = []
+        memo = ValueMemo(4)
+        for _ in range(3):
+            assert memo.lookup("none", lambda: calls.append(1)) is None
+        assert calls == [1]
+
+    def test_stays_within_its_limit_evicting_the_oldest(self):
+        calls = []
+        memo = ValueMemo(3)
+        for key in range(10):
+            memo.lookup(key, lambda: calls.append(key) or key)
+            assert len(memo) <= 3
+        memo.lookup(9, lambda: calls.append(9))
+        assert len(calls) == 10
+        memo.lookup(0, lambda: calls.append(0))
+        assert len(calls) == 11
+
+    def test_rejects_an_empty_bound(self):
+        with pytest.raises(ValueError):
+            ValueMemo(0)
+
+
+def _hammer_concurrently(work, threads=8):
+    """Run ``work(offset)`` on ``threads`` threads with a tiny switch
+    interval; return what the calls raised or reported."""
+    errors = []
+
+    def run(offset):
+        try:
+            work(offset, errors)
+        except Exception as error:  # noqa: BLE001 - reported below
+            errors.append(repr(error))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [
+            threading.Thread(target=run, args=(offset,))
+            for offset in range(threads)
+        ]
+        for thread in workers:
+            thread.start()
+        for thread in workers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in workers)
+    return errors
+
+
 class TestThreads:
     def test_concurrent_callers_over_a_small_bound(self):
         """Threads sharing one memo (the service's workers share each
@@ -79,30 +138,52 @@ class TestThreads:
 
         memo = IdentityMemo(compute, 2)
         boxes = [Box(index) for index in range(64)]
-        errors = []
 
-        def hammer(offset):
-            try:
-                for step in range(30_000):
-                    box = boxes[(offset + step * 7) % len(boxes)]
-                    if memo(box) != box.value:
-                        errors.append(f"wrong value for {box.value}")
-            except Exception as error:  # noqa: BLE001 - reported below
-                errors.append(repr(error))
+        def hammer(offset, errors):
+            for step in range(30_000):
+                box = boxes[(offset + step * 7) % len(boxes)]
+                if memo(box) != box.value:
+                    errors.append(f"wrong value for {box.value}")
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [
-                threading.Thread(target=hammer, args=(offset,))
-                for offset in range(8)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
+        assert _hammer_concurrently(hammer) == []
         assert len(memo) <= memo.limit
+
+    def test_value_memo_concurrent_callers_over_a_small_bound(self):
+        memo = ValueMemo(2)
+
+        def hammer(offset, errors):
+            for step in range(10_000):
+                key = (offset + step * 7) % 64
+                value = memo.lookup(key, lambda: sum(range(20)) and -key)
+                if value != -key:
+                    errors.append(f"wrong value for {key}")
+
+        assert _hammer_concurrently(hammer) == []
+        assert len(memo) <= memo.limit
+
+    def test_trace_memo_under_service_threads(self, monkeypatch):
+        """The service runs jobs on worker threads, and a fleet touches
+        more distinct traces than the engine's 32-entry trace memo
+        holds: concurrent misses must evict without raising."""
+        from repro.engine.jobs import TraceSpec, trace_for
+
+        # A cheap stand-in generator keeps the threads in the memo's
+        # evict-and-insert path rather than in trace synthesis; the
+        # unregistered benchmark name keeps its stand-in results from
+        # ever answering a real job later in the session.
+        monkeypatch.setattr(
+            "repro.workloads.mediabench.generate_trace",
+            lambda benchmark, length, seed: (benchmark, length, seed),
+        )
+        specs = [TraceSpec("memo-stress", 64, seed) for seed in range(48)]
+
+        def hammer(offset, errors):
+            for _ in range(300):
+                for index in range(len(specs)):
+                    spec = specs[(offset + index) % len(specs)]
+                    if trace_for(spec) != (
+                        spec.benchmark, spec.length, spec.seed
+                    ):
+                        errors.append(f"wrong trace for {spec}")
+
+        assert _hammer_concurrently(hammer) == []
