@@ -1,224 +1,105 @@
-"""Array-kernel equivalence: flat-array LRU == dict LRU, bit for bit.
+"""The multi-way LRU run kernel against the reference model.
 
-:mod:`repro.engine.kernels` re-expresses the dict-based multi-way LRU
-run kernel over flat numpy state so numba can compile it.  Its contract
-is exact equivalence — counters, per-group counters *and* the per-run
-record arrays the transient post-pass consumes — across way splits,
-fault maps and randomized streams.  These tests drive the *interpreted*
-kernel (``kernel=_lru_run_kernel``) so the logic is covered with or
-without numba; the optional numba CI job runs the same suite with the
-JIT-compiled kernel active.
+Conflict-heavy random streams (evictions and writebacks on every
+branch of ``engine/vectorized._accumulate_lru_runs``), with and
+without a mixed fault map that fully disables one set, must agree
+bit-for-bit with the reference ``HybridCache`` — soft-error injection
+included, so the kernel's per-run transient records are checked too.
 """
 
 import numpy as np
 import pytest
 
-from repro.cache.stats import CacheStats
 from repro.core.architect import build_cache_pair
-from repro.engine import kernels
-from repro.engine.kernels import (
-    MAX_BITMASK_WAYS,
-    _lru_run_kernel,
-    accumulate_lru_runs_array,
-)
-from repro.engine.plan import build_stream_plan
-from repro.engine.vectorized import (
-    _accumulate_lru_runs,
-    simulate_trace_vectorized,
-)
-from repro.tech.operating import Mode
-from repro.workloads.mediabench import generate_trace
+from repro.engine.backends import simulate_cache
+from repro.tech.operating import Mode, operating_point_for
+from repro.transients import TransientSpec, make_sampler
 
 
-def _setup(config, mode, disabled_lines=()):
-    mask = config.active_way_mask(mode)
-    actives = [way for way, active in enumerate(mask) if active]
-    group_names = [
-        config.group_of_way(way).name for way in range(len(mask))
-    ]
-    disabled_by_set: dict[int, set[int]] = {}
-    for set_index, way in disabled_lines:
-        disabled_by_set.setdefault(set_index, set()).add(way)
-    return actives, group_names, disabled_by_set
+#: Multi-way LRU variants: the paper's 7+1 split at HP (seven
+#: unprotected ways) and a 4+4 split at ULE (four EDC-protected ways,
+#: where a soft error's class depends on the line's dirtiness).
+MULTIWAY = (((7, 1), Mode.HP), ((4, 4), Mode.ULE))
 
 
-def _fresh_records(runs):
-    return (
-        np.full(runs, -1, dtype=np.int64),
-        np.zeros(runs, dtype=bool),
-        np.zeros(runs, dtype=bool),
+def _conflict_stream(rng, n=6_000):
+    """2,048 distinct lines, 30 % writes: small enough an address space
+    to force evictions and writebacks, the branches runny benchmark
+    streams rarely stress."""
+    addresses = rng.integers(0, 2_048, size=n).astype(np.uint64) * 32
+    is_write = rng.random(n) < 0.3
+    return addresses, is_write
+
+
+def _agree(config, mode, addresses, is_write, disabled_lines=()):
+    """Both backends, with and without soft-error injection; returns
+    the injected vectorized counters."""
+    sampler = make_sampler(
+        config, mode, operating_point_for(mode),
+        TransientSpec(
+            acceleration=1e19, scrub_interval_seconds=1e-6, seed=7
+        ),
+        "dl1",
     )
-
-
-def _both_kernels(
-    config, mode, addresses, is_write=None, disabled_lines=()
-):
-    """Run the same plan through both kernels, records included."""
-    actives, group_names, disabled_by_set = _setup(
-        config, mode, disabled_lines
-    )
-    plan = build_stream_plan(config, addresses, is_write)
-    runs = len(plan.starts)
-
-    dict_stats = CacheStats()
-    dict_records = _fresh_records(runs)
-    _accumulate_lru_runs(
-        dict_stats,
-        actives=actives,
-        group_names=group_names,
-        run_tag=plan.run_tag,
-        run_len=plan.run_len,
-        run_writes=plan.run_writes,
-        run_head_write=plan.run_head_write,
-        run_new_set=plan.run_new_set,
-        run_set=plan.run_set if disabled_by_set else None,
-        disabled_by_set=disabled_by_set or None,
-        records=dict_records,
-    )
-
-    array_stats = CacheStats()
-    array_records = _fresh_records(runs)
-    accumulate_lru_runs_array(
-        array_stats,
-        actives=actives,
-        group_names=group_names,
-        run_tag=plan.run_tag,
-        run_len=plan.run_len,
-        run_writes=plan.run_writes,
-        run_head_write=plan.run_head_write,
-        run_new_set=plan.run_new_set,
-        run_set=plan.run_set,
-        sets=config.sets,
-        disabled_by_set=disabled_by_set or None,
-        records=array_records,
-        kernel=_lru_run_kernel,
-    )
-    return (dict_stats, dict_records), (array_stats, array_records)
-
-
-def _assert_kernels_agree(dict_out, array_out):
-    (dict_stats, dict_records), (array_stats, array_records) = (
-        dict_out,
-        array_out,
-    )
-    assert dict_stats == array_stats
-    for attr in (
-        "group_read_hits",
-        "group_write_hits",
-        "group_fills",
-        "group_writebacks",
-    ):
-        assert dict(getattr(dict_stats, attr)) == dict(
-            getattr(array_stats, attr)
+    for transients in (None, sampler):
+        reference, vectorized = (
+            simulate_cache(
+                config, mode, addresses, is_write,
+                backend=backend, disabled_lines=disabled_lines,
+                transients=transients,
+            )
+            for backend in ("reference", "vectorized")
         )
-    for left, right in zip(dict_records, array_records):
-        np.testing.assert_array_equal(left, right)
+        assert reference == vectorized
+        for attr in (
+            "group_read_hits",
+            "group_write_hits",
+            "group_fills",
+            "group_writebacks",
+        ):
+            assert dict(getattr(reference, attr)) == dict(
+                getattr(vectorized, attr)
+            )
+    assert vectorized.transient_affected > 0  # records were exercised
+    return vectorized
 
 
 class TestKernelEquivalence:
-    @pytest.mark.parametrize("mode", [Mode.HP, Mode.ULE])
-    @pytest.mark.parametrize("which", ["baseline", "proposed"])
-    def test_benchmark_streams(self, design_a, mode, which):
-        """Real fetch + data streams, both chips, both modes (ULE also
-        covers the single-active-way degenerate case)."""
-        baseline, proposed = build_cache_pair(design_a)
-        config = baseline if which == "baseline" else proposed
-        trace = generate_trace("gsm_c", length=15_000, seed=7)
-
-        dict_out, array_out = _both_kernels(config, mode, trace.pc)
-        _assert_kernels_agree(dict_out, array_out)
-
-        addresses, is_write = trace.memory_stream()
-        dict_out, array_out = _both_kernels(
-            config, mode, addresses, is_write
-        )
-        _assert_kernels_agree(dict_out, array_out)
-
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_conflict_heavy_streams(self, design_a, seed):
-        """Small address spaces force evictions and writebacks — the
-        branches runny benchmark streams rarely stress."""
-        _, proposed = build_cache_pair(design_a)
-        rng = np.random.default_rng(seed)
-        n = 6_000
-        addresses = (
-            rng.integers(0, 2_048, size=n).astype(np.uint64) * 32
-        )
-        is_write = rng.random(n) < 0.3
-        dict_out, array_out = _both_kernels(
-            proposed, Mode.HP, addresses, is_write
-        )
-        _assert_kernels_agree(dict_out, array_out)
+        addresses, is_write = _conflict_stream(np.random.default_rng(seed))
+        for (hp_ways, ule_ways), mode in MULTIWAY:
+            _, proposed = build_cache_pair(
+                design_a, hp_ways=hp_ways, ule_ways=ule_ways
+            )
+            stats = _agree(proposed, mode, addresses, is_write)
+            assert stats.writebacks > 0
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_fault_maps_including_fully_disabled_sets(
         self, design_a, seed
     ):
         """Partial disables reduce per-set associativity; a set whose
-        every active way is disabled must bypass — in both kernels."""
-        _, proposed = build_cache_pair(design_a)
-        actives, _, _ = _setup(proposed, Mode.HP)
+        every active way is disabled must bypass."""
         rng = np.random.default_rng(seed)
-        n = 6_000
-        addresses = (
-            rng.integers(0, 2_048, size=n).astype(np.uint64) * 32
-        )
-        is_write = rng.random(n) < 0.3
-        disabled = [
-            (int(rng.integers(0, proposed.sets)), int(way))
-            for way in rng.choice(actives, size=3, replace=False)
-        ]
-        # Set 0: every active way dead — the graceful-bypass path.
-        disabled += [(0, way) for way in actives]
-        dict_out, array_out = _both_kernels(
-            proposed,
-            Mode.HP,
-            addresses,
-            is_write,
-            disabled_lines=tuple(set(disabled)),
-        )
-        _assert_kernels_agree(dict_out, array_out)
-        assert array_out[0].bypasses > 0
-
-
-class TestDispatch:
-    def test_compiled_flag_matches_interpreted(self, design_a):
-        """``compiled=True`` must be a pure performance knob: without
-        numba it falls back to the dict kernel; with numba (the
-        optional CI job) it runs the JIT kernel — identical either
-        way."""
-        _, proposed = build_cache_pair(design_a)
-        trace = generate_trace("epic_c", length=12_000, seed=11)
-        addresses, is_write = trace.memory_stream()
-        for mode in (Mode.HP, Mode.ULE):
-            plain = simulate_trace_vectorized(
-                proposed, mode, addresses, is_write
+        addresses, is_write = _conflict_stream(rng)
+        for (hp_ways, ule_ways), mode in MULTIWAY:
+            _, proposed = build_cache_pair(
+                design_a, hp_ways=hp_ways, ule_ways=ule_ways
             )
-            compiled = simulate_trace_vectorized(
-                proposed, mode, addresses, is_write, compiled=True
+            actives = [
+                way
+                for way, active in enumerate(proposed.active_way_mask(mode))
+                if active
+            ]
+            disabled = {
+                (int(rng.integers(0, proposed.sets)), int(way))
+                for way in rng.choice(actives, size=3, replace=False)
+            }
+            # Set 0: every active way dead — the graceful-bypass path.
+            disabled |= {(0, way) for way in actives}
+            stats = _agree(
+                proposed, mode, addresses, is_write,
+                disabled_lines=tuple(sorted(disabled)),
             )
-            assert plain == compiled
-
-    def test_kernel_alias_follows_numba_availability(self):
-        if kernels.HAVE_NUMBA:
-            assert kernels.lru_run_kernel is not kernels._lru_run_kernel
-        else:
-            assert kernels.lru_run_kernel is kernels._lru_run_kernel
-
-    def test_rejects_more_than_64_ways(self):
-        """The per-set disabled bitmask is a uint64: wider masks must
-        be refused loudly, not silently mis-modeled."""
-        empty = np.zeros(0, dtype=np.uint64)
-        with pytest.raises(ValueError, match="at most 64"):
-            accumulate_lru_runs_array(
-                CacheStats(),
-                actives=list(range(MAX_BITMASK_WAYS + 1)),
-                group_names=["g"] * (MAX_BITMASK_WAYS + 1),
-                run_tag=empty,
-                run_len=empty,
-                run_writes=empty,
-                run_head_write=empty,
-                run_new_set=empty,
-                run_set=empty,
-                sets=4,
-            )
+            assert stats.bypasses > 0
